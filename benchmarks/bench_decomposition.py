@@ -1,10 +1,10 @@
 """tab7 (ablation) — additive component-decomposed solving vs monolithic.
 
-DESIGN.md calls out decomposition as the ablation for the NP-hard solvers:
-connected components of the occurrence hypergraph are independent
-subproblems, so solving per component and summing must (a) give identical
-values and (b) be no slower — usually far faster — on fragmented
-workloads.  This regenerates the ablation table.
+Decomposition is the ablation for the NP-hard solvers (see
+``repro.measures.decomposition``): connected components of the occurrence
+hypergraph are independent subproblems, so solving per component and
+summing must (a) give identical values and (b) be no slower — usually far
+faster — on fragmented workloads.  This regenerates the ablation table.
 """
 
 from __future__ import annotations

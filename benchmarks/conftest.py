@@ -1,8 +1,9 @@
 """Shared benchmark fixtures and table-printing helpers.
 
-Every benchmark module regenerates one table/figure of the evaluation (see
-DESIGN.md's per-experiment index) and *prints* the regenerated rows so the
-bench output doubles as the experiment record in EXPERIMENTS.md.
+Every benchmark module regenerates one table/figure of the evaluation (its
+module docstring names the table and the expected shape) and *prints* the
+regenerated rows so the bench output doubles as the experiment record; the
+regression gates are listed in ``docs/architecture.md``.
 """
 
 from __future__ import annotations

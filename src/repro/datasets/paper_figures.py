@@ -9,7 +9,7 @@ Where the thesis prose fully determines the example (Figs. 2, 4, 5, 6 give
 occurrence tables; Figs. 9, 10 give the overlap relations), the
 reconstruction is exact.  Where the figure is only a sketch (Figs. 1, 3, 7,
 8 — shadings without printed adjacency), we build the example the caption
-describes and assert the caption's claims; DESIGN.md records this.
+describes and assert the caption's claims.
 """
 
 from __future__ import annotations

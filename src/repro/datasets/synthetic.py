@@ -1,7 +1,7 @@
 """Seeded synthetic labeled-graph generators for the benchmark workloads.
 
 The SIGMOD evaluation ran on large real graphs that the thesis text does not
-identify; these generators are the substitution documented in DESIGN.md.
+identify; these generators are the substitution for them.
 They produce graphs with controllable size, density, and label skew so the
 benchmarks can sweep the regimes where the paper's theorems predict
 crossovers (overlap density drives the MNI-vs-MIS gap; occurrence count

@@ -10,9 +10,9 @@ These are the ingredients of the MI measure (Section 3.2):
   in which every pair is transitive, i.e. a subset of one orbit.
 * The MI measure minimizes over transitive node subsets of **subpatterns**
   of ``P`` (Definition 3.2.4).  Following the paper's own examples (Figs. 4,
-  9, 10) we enumerate orbits of *connected* subpatterns; see DESIGN.md for
-  why edgeless subpatterns must be excluded (they would collapse structural
-  overlap onto simple overlap and break Figure 10).
+  9, 10) we enumerate orbits of *connected* subpatterns: edgeless
+  subpatterns must be excluded because they would collapse structural
+  overlap onto simple overlap and break Figure 10 (``tests/test_figures.py``).
 """
 
 from __future__ import annotations

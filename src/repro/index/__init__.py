@@ -1,6 +1,7 @@
 """Indexed acceleration layer for data-graph hot paths.
 
-See :mod:`repro.index.graph_index` for the design notes,
+See :mod:`repro.index.compact` for the index layout,
+:mod:`repro.index.graph_index` for the cached-index entry points,
 :mod:`repro.index.delta` for incremental (delta-patched) maintenance,
 :mod:`repro.index.maintainable` for the maintainable-index protocol
 shared with the partition layer, and ``docs/architecture.md`` for how
@@ -18,14 +19,7 @@ from .delta import (
     VertexRemoved,
 )
 from .compact import CompactGraphIndex, LabelTable, projected_index_nbytes
-from .graph_index import (
-    GraphIndex,
-    IndexArg,
-    get_index,
-    index_backend,
-    resolve_index,
-    set_index_backend,
-)
+from .graph_index import GraphIndex, IndexArg, get_index, resolve_index
 from .maintainable import DeltaMaintainer, MaintainableIndex
 
 __all__ = [
@@ -35,8 +29,6 @@ __all__ = [
     "IndexArg",
     "get_index",
     "resolve_index",
-    "index_backend",
-    "set_index_backend",
     "projected_index_nbytes",
     "GraphDelta",
     "VertexAdded",

@@ -1,12 +1,13 @@
-"""Compact storage core: interned ids + CSR adjacency behind ``GraphIndex``.
+"""The graph index: interned ids + CSR adjacency over one :class:`LabeledGraph`.
 
-The dict-backed :class:`~repro.index.graph_index.GraphIndex` answers every
-query with per-entry Python objects: tuples of vertex objects per label,
-nested dicts per vertex, boxed counts per signature.  That representation
-is convenient but costs ~100 bytes per entry and a hash lookup per hop.
-This module provides :class:`CompactGraphIndex`, a drop-in subclass that
-stores the same information in flat :mod:`array` buffers over *interned*
-ids:
+Every hot path of the library — subgraph matching, anchored searches,
+occurrence enumeration, candidate generation in the miner — asks the same
+questions of the data graph over and over: which vertices carry a label,
+which neighbors of a vertex carry a label, which data edges join two
+labels, how many neighbors of each label a vertex has.
+:class:`CompactGraphIndex` (exported as :data:`repro.index.GraphIndex`)
+materializes those answers once per graph in flat :mod:`array` buffers
+over *interned* ids:
 
 * a :class:`LabelTable` interns vertex ids and labels to dense ints at the
   graph boundary — slots are assigned in canonical (``repr``) order at
@@ -15,7 +16,8 @@ ids:
 * **inverted lists** — ``lint -> array('i')`` of member vints, kept in the
   library's canonical ``repr`` order;
 * **CSR adjacency rows** — one ``array('i')`` per vertex holding an inline
-  label directory followed by the neighbor vints::
+  label directory (the vertex's neighbor-label signature) followed by the
+  neighbor vints::
 
       [k, l1, c1, ..., lk, ck,  <c1 neighbors of label l1>, ...]
 
@@ -23,22 +25,29 @@ ids:
   canonical order, so a label-filtered adjacency query is one small header
   scan plus a contiguous slice;
 * **label-pair edge lists** — ``(lint, lint) -> array('i')`` of flattened
-  ``(u, v)`` vint pairs in canonical edge order.
+  ``(u, v)`` vint pairs in canonical edge order (the graphs are
+  vertex-labeled with a single implicit edge label, so the paper's
+  (src-label, edge-label, dst-label) triple collapses to the unordered
+  vertex-label pair).
 
-All decoded query methods (the full ``GraphIndex`` API) return objects
-identical — content *and* order — to the dict implementation, which stays
-as the brute reference diffed by the equivalence suites.  The matching
-engines additionally use the int-level accessors directly and translate
-back to user-facing vertices only at result boundaries.
+The decoded query methods translate vints back to user-facing vertices
+in the same canonical ``repr`` orders the brute-force paths use, which is
+what makes indexed and unindexed enumeration byte-identical (asserted by
+``tests/test_index_equivalence.py``).  The matching engines use the
+int-level accessors directly and decode only at result boundaries.
 
-Delta maintenance patches the flat buffers in O(delta): ``array.insert``
-and slice deletion are C-level memmoves within one row/list, and every
-splice lands at the same canonical position the dict index would use, so
-a patched compact index stays structurally identical to a rebuilt one
-(``tests/test_compact_index.py`` churns this).  The
-:class:`~repro.index.delta.IndexMaintainer` patch-limit fallback applies
-unchanged — a rebuild re-interns the table from scratch, which is the
-only point where tombstoned slots are reclaimed.
+Each :class:`LabeledGraph` carries a version counter bumped on every
+mutation; :func:`repro.index.get_index` caches the index on the graph and
+rebuilds after mutations, so indexes never drift from their graph.  Under
+an update stream a rebuild is avoidable: :meth:`CompactGraphIndex.apply_delta`
+patches the flat buffers in O(delta) — ``array.insert`` and slice deletion
+are C-level memmoves within one row/list, and every splice lands at the
+canonical position a rebuild would use, so a patched index stays
+structurally identical to a rebuilt one (``tests/test_compact_index.py``
+churns this).  :class:`~repro.index.delta.IndexMaintainer` drives that from
+the graph's mutation-observer hook; its patch-limit fallback rebuilds,
+which re-interns the table from scratch — the only point where tombstoned
+slots are reclaimed.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from array import array
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
-from .graph_index import GraphIndex, _label_pair_key
+from .maintainable import MaintainableIndex
 
 _EMPTY: Tuple = ()
 _EMPTY_ROW = array("i", (0,))
@@ -147,16 +156,21 @@ def _row_find(row: array, li: int) -> Tuple[int, int]:
     return off, 0
 
 
-class CompactGraphIndex(GraphIndex):
-    """A :class:`GraphIndex` over interned ids and flat CSR buffers.
+class CompactGraphIndex(MaintainableIndex):
+    """An acceleration index for one labeled graph snapshot.
 
-    Same graph/version contract, same maintainable-index protocol, and
-    decoded answers identical to the dict implementation — built with
-    :meth:`build` or selected process-wide via
-    :func:`repro.index.graph_index.set_index_backend`.
+    Build with :meth:`build` (or the cached :func:`repro.index.get_index`).
+    The index never mutates the graph; :meth:`is_current` reports whether
+    the graph has changed since the snapshot was taken.  A stale index is
+    brought current either by rebuilding or by :meth:`apply_delta`
+    patching one typed delta — insertion or removal — in O(delta) (the
+    :class:`~repro.index.maintainable.MaintainableIndex` protocol, shared
+    with the partition layer's ``ShardedIndex``).
     """
 
     __slots__ = (
+        "graph",
+        "version",
         "table",
         "_lab",
         "_deg",
@@ -169,8 +183,6 @@ class CompactGraphIndex(GraphIndex):
         "_memo_hist",
         "_memo_lpairs",
         "_memo_nwl",
-        "_memo_deg",
-        "_memo_sig",
         "_memo_segset",
     )
 
@@ -254,8 +266,6 @@ class CompactGraphIndex(GraphIndex):
         self._memo_hist: Optional[Dict[Label, int]] = None
         self._memo_lpairs: Optional[FrozenSet[Tuple[Label, Label]]] = None
         self._memo_nwl: Dict[Tuple[int, int], Tuple[Vertex, ...]] = {}
-        self._memo_deg: Optional[Dict[Vertex, int]] = None
-        self._memo_sig: Optional[Dict[Vertex, Dict[Label, int]]] = None
         self._memo_segset: Dict[int, FrozenSet[int]] = {}
 
     def _pair_key(self, la: int, lb: int) -> Tuple[int, int]:
@@ -318,13 +328,54 @@ class CompactGraphIndex(GraphIndex):
     # ------------------------------------------------------------------
     # factory / freshness
     # ------------------------------------------------------------------
+    @classmethod
+    def build(cls, graph: LabeledGraph) -> "CompactGraphIndex":
+        """Build a fresh index for ``graph`` (no caching)."""
+        return cls(graph)
+
     def rebuilt(self) -> "CompactGraphIndex":
-        """A from-scratch compact index (fresh table, no tombstones)."""
+        """A from-scratch index (fresh table, no tombstones)."""
         return CompactGraphIndex(self.graph)
 
     # ------------------------------------------------------------------
     # delta maintenance: canonical splices into the flat buffers
     # ------------------------------------------------------------------
+    def apply_delta(self, delta) -> bool:
+        """Patch this index in place for one typed graph delta.
+
+        Insertions (:class:`~repro.index.delta.VertexAdded`,
+        :class:`~repro.index.delta.EdgeAdded`) splice in at the canonical
+        (``repr``-sorted) position: a vertex joins its label's inverted
+        list, an edge joins its label-pair edge list and both endpoints'
+        CSR rows.  Removals (:class:`~repro.index.delta.EdgeRemoved`,
+        :class:`~repro.index.delta.VertexRemoved`) are the exact inverse
+        splices; entries that empty are dropped, as a rebuild would never
+        create them.  A ``VertexRemoved`` delta is only sound once the
+        vertex is isolated — the publisher emits the incident
+        ``EdgeRemoved`` deltas first, so a contiguous replay is always in
+        that order.
+
+        The index version advances to the delta's version; callers must
+        apply deltas contiguously
+        (:class:`~repro.index.delta.IndexMaintainer` enforces this).
+        Returns ``False`` for delta kinds this index cannot patch — the
+        caller falls back to :meth:`rebuilt`.
+        """
+        from .delta import EdgeAdded, EdgeRemoved, VertexAdded, VertexRemoved
+
+        if isinstance(delta, VertexAdded):
+            self._apply_vertex_added(delta.vertex, delta.label)
+        elif isinstance(delta, EdgeAdded):
+            self._apply_edge_added(delta.u, delta.v, delta.label_u, delta.label_v)
+        elif isinstance(delta, EdgeRemoved):
+            self._apply_edge_removed(delta.u, delta.v, delta.label_u, delta.label_v)
+        elif isinstance(delta, VertexRemoved):
+            self._apply_vertex_removed(delta.vertex, delta.label)
+        else:
+            return False
+        self.version = delta.version
+        return True
+
     def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
         table = self.table
         vi = table._vint_of.get(vertex)
@@ -381,7 +432,7 @@ class CompactGraphIndex(GraphIndex):
         npairs = len(arr) // 2
         dec = table.vertex_of
         while pos < npairs and (dec[arr[2 * pos]], dec[arr[2 * pos + 1]]) != edge:
-            pos += 1  # repr ties broken linearly, as in the dict index
+            pos += 1  # repr ties broken linearly
         if pos == npairs:
             raise KeyError(edge)
         del arr[2 * pos : 2 * pos + 2]
@@ -505,9 +556,10 @@ class CompactGraphIndex(GraphIndex):
             row[2 + 2 * gi] = cnt - 1
 
     # ------------------------------------------------------------------
-    # decoded query API (identical objects/order to the dict index)
+    # decoded query API (user-facing vertices, canonical orders)
     # ------------------------------------------------------------------
     def vertices_with_label(self, label: Label) -> Tuple[Vertex, ...]:
+        """Vertices carrying ``label``, in canonical order."""
         li = self.table._lint_of.get(label)
         if li is None:
             return _EMPTY
@@ -522,6 +574,7 @@ class CompactGraphIndex(GraphIndex):
         return cached
 
     def label_histogram(self) -> Dict[Label, int]:
+        """Vertex count per label (do not mutate the returned dict)."""
         hist = self._memo_hist
         if hist is None:
             label_of = self.table.label_of
@@ -537,6 +590,7 @@ class CompactGraphIndex(GraphIndex):
         return len(arr) if arr is not None else 0
 
     def adjacent_label_pairs(self) -> FrozenSet[Tuple[Label, Label]]:
+        """All label pairs joined by a data edge (both orders present)."""
         pairs = self._memo_lpairs
         if pairs is None:
             label_of = self.table.label_of
@@ -555,6 +609,7 @@ class CompactGraphIndex(GraphIndex):
         return (la, lb) in self._lpair_set
 
     def edges_with_labels(self, lu: Label, lv: Label) -> Tuple[Edge, ...]:
+        """Data edges whose endpoint labels are the unordered pair (lu, lv)."""
         lint_of = self.table._lint_of
         la = lint_of.get(lu)
         lb = lint_of.get(lv)
@@ -574,6 +629,7 @@ class CompactGraphIndex(GraphIndex):
         return cached
 
     def distinct_edge_label_pairs(self) -> List[Tuple[Label, Label]]:
+        """Canonical unordered label pairs realized by data edges, sorted."""
         label_of = self.table.label_of
         return sorted(
             ((label_of[a], label_of[b]) for a, b in self._pair_edges),
@@ -581,42 +637,11 @@ class CompactGraphIndex(GraphIndex):
         )
 
     def degree_of(self, vertex: Vertex) -> int:
+        """Degree of ``vertex``."""
         return self._deg[self._live_vint(vertex)]
 
-    def degree_map(self) -> Dict[Vertex, int]:
-        dmap = self._memo_deg
-        if dmap is None:
-            dec = self.table.vertex_of
-            lab = self._lab
-            deg = self._deg
-            dmap = {
-                dec[vi]: deg[vi] for vi in range(len(lab)) if lab[vi] >= 0
-            }
-            self._memo_deg = dmap
-        return dmap
-
-    def signature_map(self) -> Dict[Vertex, Dict[Label, int]]:
-        smap = self._memo_sig
-        if smap is None:
-            dec = self.table.vertex_of
-            lab = self._lab
-            smap = {
-                dec[vi]: self._decode_signature(vi)
-                for vi in range(len(lab))
-                if lab[vi] >= 0
-            }
-            self._memo_sig = smap
-        return smap
-
-    def _decode_signature(self, vi: int) -> Dict[Label, int]:
-        row = self._rows[vi]
-        label_of = self.table.label_of
-        k = row[0]
-        return {
-            label_of[row[1 + 2 * g]]: row[2 + 2 * g] for g in range(k)
-        }
-
     def neighbors_with_label(self, vertex: Vertex, label: Label) -> Tuple[Vertex, ...]:
+        """Neighbors of ``vertex`` carrying ``label``, in canonical order."""
         vi = self._live_vint(vertex)
         li = self.table._lint_of.get(label)
         if li is None:
@@ -632,16 +657,10 @@ class CompactGraphIndex(GraphIndex):
         return cached
 
     def signature_of(self, vertex: Vertex) -> Dict[Label, int]:
-        return self._decode_signature(self._live_vint(vertex))
-
-    def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
-        vi = self._live_vint(vertex)
-        lint_of = self.table._lint_of
-        for label, count in requirements.items():
-            li = lint_of.get(label)
-            if li is None or self._segment_len(vi, li) < count:
-                return False
-        return True
+        """Neighbor-label multiset of ``vertex`` (its CSR row directory)."""
+        row = self._rows[self._live_vint(vertex)]
+        label_of = self.table.label_of
+        return {label_of[row[1 + 2 * g]]: row[2 + 2 * g] for g in range(row[0])}
 
     # ------------------------------------------------------------------
     # footprint accounting
@@ -651,7 +670,8 @@ class CompactGraphIndex(GraphIndex):
 
         Counts the intern table, the flat arrays, and container overhead;
         excludes the vertex/label objects themselves (shared with the
-        graph) and the transient decode memos.
+        graph) and the transient decode memos.  Feeds the
+        ``repro_index_bytes`` gauge.
         """
         total = self.table.nbytes()
         total += sys.getsizeof(self._lab) + sys.getsizeof(self._deg)
@@ -684,19 +704,13 @@ class CompactGraphIndex(GraphIndex):
 # ----------------------------------------------------------------------
 # projected footprints (the pager's deterministic cost model)
 # ----------------------------------------------------------------------
-#: Per-entry byte estimates for each backend, calibrated against
-#: ``nbytes()`` on CPython 3.11/64-bit synthetic graphs (see
+#: Per-entry byte estimates (per-vertex, per-edge, per-label), calibrated
+#: against ``nbytes()`` on CPython 3.11/64-bit synthetic graphs (see
 #: ``tests/test_compact_index.py::test_projected_footprint_tracks_nbytes``).
-#: (per-vertex, per-edge, per-label) coefficients.
-_FOOTPRINT_COEFFICIENTS = {
-    "dict": (700, 90, 3000),
-    "compact": (180, 14, 900),
-}
+_FOOTPRINT_COEFFICIENTS = (180, 14, 900)
 
 
-def projected_index_nbytes(
-    num_vertices: int, num_edges: int, num_labels: int, backend: str
-) -> int:
+def projected_index_nbytes(num_vertices: int, num_edges: int, num_labels: int) -> int:
     """Deterministic footprint estimate for an index over a graph this size.
 
     Used by :class:`repro.partition.workers.ShardPager` as its resident-
@@ -704,7 +718,7 @@ def projected_index_nbytes(
     they use this projection rather than measuring a (possibly not yet
     built) per-view index.
     """
-    per_vertex, per_edge, per_label = _FOOTPRINT_COEFFICIENTS[backend]
+    per_vertex, per_edge, per_label = _FOOTPRINT_COEFFICIENTS
     return (
         256  # fixed container overhead
         + per_vertex * num_vertices

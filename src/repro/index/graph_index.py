@@ -1,50 +1,30 @@
-"""Precomputed acceleration index over a :class:`LabeledGraph`.
+"""The cached-index entry points: :func:`get_index` and :func:`resolve_index`.
 
-Every hot path of the library — subgraph matching, anchored searches,
-occurrence enumeration, candidate generation in the miner — used to re-scan
-the data graph per query: per-call set copies of the label inverted lists,
-per-call ``repr``-sorts of candidate vertices, per-call neighbor scans for
-label-filtered adjacency.  A :class:`GraphIndex` materializes all of that
-once per graph:
+:data:`GraphIndex` names the library's one index class,
+:class:`~repro.index.compact.CompactGraphIndex` (see that module for the
+layout).  Each :class:`LabeledGraph` carries a version counter bumped on
+every mutation; :func:`get_index` caches the index on the graph itself and
+transparently rebuilds after mutations, so "build once per mining
+session, reuse across all candidates" is automatic.  Hot paths accept an
+:data:`IndexArg`, where ``False`` selects the brute-force reference path
+that every indexed answer must match byte for byte.
 
-* **inverted lists** — ``label -> tuple of vertices`` carrying the label,
-  pre-sorted in the library's canonical (``repr``) order;
-* **label-pair adjacency** — ``(label_u, label_v) -> tuple of data edges``
-  whose endpoints carry those labels (the graphs are vertex-labeled with a
-  single implicit edge label, so the paper's (src-label, edge-label,
-  dst-label) triple collapses to the unordered vertex-label pair);
-* **per-vertex signatures** — degree plus the multiset of neighbor labels,
-  with neighbor lists per label pre-sorted, for candidate filtering that
-  rejects hopeless vertices before any backtracking.
-
-Each :class:`LabeledGraph` carries a version counter bumped on every
-mutation; :func:`get_index` caches the index on the graph itself and
-transparently rebuilds after mutations, so "build once per mining session,
-reuse across all candidates" is automatic.  Indexes never drift from their
-graph: they either match its version exactly or are replaced.  Under an
-update stream — insertions *and* deletions — a full rebuild is avoidable:
-:meth:`apply_delta` patches the index in O(delta) per update (canonical
-splice-in for additions, the inverse splice-out for removals), and
-:class:`repro.index.delta.IndexMaintainer` drives that from the graph's
-mutation-observer hook.
-
-All orders are the same canonical ``repr`` orders used by the brute-force
-paths, which is what makes indexed and unindexed enumeration byte-identical
-(asserted by ``tests/test_index_equivalence.py``).
+The canonical-order helpers below are shared with the partition and
+mining layers, which keep label-pair keyed and ``repr``-sorted structures
+of their own.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from bisect import bisect_left
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from ..graph.labeled_graph import Edge, Label, LabeledGraph, Vertex, normalize_edge
+from ..graph.labeled_graph import Label, LabeledGraph
 from ..obs import metrics as _metrics
-from .maintainable import MaintainableIndex
+from .compact import CompactGraphIndex
 
-_EMPTY: Tuple[Vertex, ...] = ()
+#: The library's index class (one implementation: interned ids + CSR).
+GraphIndex = CompactGraphIndex
 
 
 def _insert_canonical(members: Tuple, item) -> Tuple:
@@ -69,381 +49,26 @@ def _label_pair_key(lu: Label, lv: Label) -> Tuple[Label, Label]:
     return (lu, lv) if repr(lu) <= repr(lv) else (lv, lu)
 
 
-class GraphIndex(MaintainableIndex):
-    """An acceleration structure for one labeled graph snapshot.
-
-    Build with :meth:`build` (or the cached :func:`get_index`).  The index
-    never mutates the graph; :meth:`is_current` reports whether the graph
-    has changed since the snapshot was taken.  A stale index can be
-    brought current either by rebuilding or by :meth:`apply_delta`
-    patching one typed delta — insertion or removal — in O(delta)
-    (the :class:`~repro.index.maintainable.MaintainableIndex` protocol,
-    shared with the partition layer's ``ShardedIndex``).
-    """
-
-    __slots__ = (
-        "graph",
-        "version",
-        "_label_list",
-        "_histogram",
-        "_neighbors_by_label",
-        "_signatures",
-        "_degrees",
-        "_label_pairs",
-        "_edges_by_pair",
-    )
-
-    def __init__(self, graph: LabeledGraph) -> None:
-        self.graph = graph
-        self.version = graph.mutation_version()
-
-        label_list: Dict[Label, Tuple[Vertex, ...]] = {}
-        for label in graph.label_alphabet():
-            label_list[label] = tuple(
-                sorted(graph.vertices_with_label(label), key=repr)
-            )
-        self._label_list = label_list
-        self._histogram = {label: len(vs) for label, vs in label_list.items()}
-
-        neighbors_by_label: Dict[Vertex, Dict[Label, Tuple[Vertex, ...]]] = {}
-        signatures: Dict[Vertex, Dict[Label, int]] = {}
-        degrees: Dict[Vertex, int] = {}
-        labels = graph.labels()
-        for vertex in graph.vertices():
-            buckets: Dict[Label, List[Vertex]] = {}
-            for neighbor in graph.neighbors(vertex):
-                buckets.setdefault(labels[neighbor], []).append(neighbor)
-            neighbors_by_label[vertex] = {
-                label: tuple(sorted(members, key=repr))
-                for label, members in buckets.items()
-            }
-            signatures[vertex] = {
-                label: len(members) for label, members in buckets.items()
-            }
-            degrees[vertex] = graph.degree(vertex)
-        self._neighbors_by_label = neighbors_by_label
-        self._signatures = signatures
-        self._degrees = degrees
-
-        label_pairs: Set[Tuple[Label, Label]] = set()
-        edges_by_pair: Dict[Tuple[Label, Label], List[Edge]] = {}
-        for u, v in graph.edges():
-            lu, lv = labels[u], labels[v]
-            label_pairs.add((lu, lv))
-            label_pairs.add((lv, lu))
-            edges_by_pair.setdefault(_label_pair_key(lu, lv), []).append(
-                normalize_edge(u, v)
-            )
-        self._label_pairs = frozenset(label_pairs)
-        self._edges_by_pair = {
-            pair: tuple(members) for pair, members in edges_by_pair.items()
-        }
-
-    # ------------------------------------------------------------------
-    # factory / freshness
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, graph: LabeledGraph) -> "GraphIndex":
-        """Build a fresh index for ``graph`` (no caching)."""
-        return cls(graph)
-
-    def rebuilt(self) -> "GraphIndex":
-        """A from-scratch index for the graph's current state."""
-        return GraphIndex(self.graph)
-
-    # ------------------------------------------------------------------
-    # delta maintenance (see repro.index.delta)
-    # ------------------------------------------------------------------
-    def apply_delta(self, delta) -> bool:
-        """Patch this index in place for one typed graph delta.
-
-        Insertions (:class:`~repro.index.delta.VertexAdded`,
-        :class:`~repro.index.delta.EdgeAdded`) are absorbed in O(delta):
-        a vertex splices into its label's inverted list, an edge splices
-        into its label-pair edge list and both endpoints' neighbor-label
-        buckets — all at the canonical (``repr``-sorted) position, so the
-        patched index is structurally identical to a rebuilt one.
-
-        Removals (:class:`~repro.index.delta.EdgeRemoved`,
-        :class:`~repro.index.delta.VertexRemoved`) are the exact inverse
-        splices: an edge leaves its label-pair edge list and both
-        endpoints' neighbor-label buckets (entries that empty are deleted
-        outright, exactly as a rebuild would never create them); a vertex
-        leaves its label's inverted list and drops its signature state.
-        A ``VertexRemoved`` delta is only sound once the vertex is
-        isolated — the publisher emits the incident ``EdgeRemoved`` deltas
-        first, so a contiguous replay is always in that order.
-
-        The index version advances to the delta's version; callers must
-        apply deltas contiguously
-        (:class:`~repro.index.delta.IndexMaintainer` enforces this).
-
-        Returns ``False`` for delta kinds this index cannot patch — the
-        caller falls back to :meth:`build`.
-        """
-        from .delta import EdgeAdded, EdgeRemoved, VertexAdded, VertexRemoved
-
-        if isinstance(delta, VertexAdded):
-            self._apply_vertex_added(delta.vertex, delta.label)
-        elif isinstance(delta, EdgeAdded):
-            self._apply_edge_added(delta.u, delta.v, delta.label_u, delta.label_v)
-        elif isinstance(delta, EdgeRemoved):
-            self._apply_edge_removed(delta.u, delta.v, delta.label_u, delta.label_v)
-        elif isinstance(delta, VertexRemoved):
-            self._apply_vertex_removed(delta.vertex, delta.label)
-        else:
-            return False
-        self.version = delta.version
-        return True
-
-    def _apply_vertex_added(self, vertex: Vertex, label: Label) -> None:
-        self._label_list[label] = _insert_canonical(
-            self._label_list.get(label, _EMPTY), vertex
-        )
-        self._histogram[label] = self._histogram.get(label, 0) + 1
-        self._neighbors_by_label[vertex] = {}
-        self._signatures[vertex] = {}
-        self._degrees[vertex] = 0
-
-    def _apply_edge_added(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        if (lu, lv) not in self._label_pairs:
-            self._label_pairs = self._label_pairs | {(lu, lv), (lv, lu)}
-        pair = _label_pair_key(lu, lv)
-        self._edges_by_pair[pair] = _insert_canonical(
-            self._edges_by_pair.get(pair, _EMPTY), normalize_edge(u, v)
-        )
-        buckets_u = self._neighbors_by_label[u]
-        buckets_u[lv] = _insert_canonical(buckets_u.get(lv, _EMPTY), v)
-        buckets_v = self._neighbors_by_label[v]
-        buckets_v[lu] = _insert_canonical(buckets_v.get(lu, _EMPTY), u)
-        signature_u = self._signatures[u]
-        signature_u[lv] = signature_u.get(lv, 0) + 1
-        signature_v = self._signatures[v]
-        signature_v[lu] = signature_v.get(lu, 0) + 1
-        self._degrees[u] += 1
-        self._degrees[v] += 1
-
-    def _apply_edge_removed(self, u: Vertex, v: Vertex, lu: Label, lv: Label) -> None:
-        pair = _label_pair_key(lu, lv)
-        remaining = _remove_canonical(self._edges_by_pair[pair], normalize_edge(u, v))
-        if remaining:
-            self._edges_by_pair[pair] = remaining
-        else:
-            # A rebuild never materializes empty entries: the pair leaves
-            # the edge map and (both orders of) the adjacency set.
-            del self._edges_by_pair[pair]
-            self._label_pairs = self._label_pairs - {(lu, lv), (lv, lu)}
-        for vertex, other, other_label in ((u, v, lv), (v, u, lu)):
-            buckets = self._neighbors_by_label[vertex]
-            shrunk = _remove_canonical(buckets[other_label], other)
-            signature = self._signatures[vertex]
-            if shrunk:
-                buckets[other_label] = shrunk
-                signature[other_label] -= 1
-            else:
-                del buckets[other_label]
-                del signature[other_label]
-            self._degrees[vertex] -= 1
-
-    def _apply_vertex_removed(self, vertex: Vertex, label: Label) -> None:
-        if self._degrees[vertex] != 0:
-            raise ValueError(
-                f"VertexRemoved({vertex!r}) patched while the vertex still has "
-                f"{self._degrees[vertex]} indexed edges; the publisher must emit "
-                "the incident EdgeRemoved deltas first"
-            )
-        remaining = _remove_canonical(self._label_list[label], vertex)
-        if remaining:
-            self._label_list[label] = remaining
-            self._histogram[label] -= 1
-        else:
-            del self._label_list[label]
-            del self._histogram[label]
-        del self._neighbors_by_label[vertex]
-        del self._signatures[vertex]
-        del self._degrees[vertex]
-
-    # ------------------------------------------------------------------
-    # inverted lists
-    # ------------------------------------------------------------------
-    def vertices_with_label(self, label: Label) -> Tuple[Vertex, ...]:
-        """Vertices carrying ``label``, pre-sorted in canonical order."""
-        return self._label_list.get(label, _EMPTY)
-
-    def label_histogram(self) -> Dict[Label, int]:
-        """Vertex count per label (do not mutate the returned dict)."""
-        return self._histogram
-
-    def label_frequency(self, label: Label) -> int:
-        return self._histogram.get(label, 0)
-
-    # ------------------------------------------------------------------
-    # label-pair adjacency
-    # ------------------------------------------------------------------
-    def adjacent_label_pairs(self) -> FrozenSet[Tuple[Label, Label]]:
-        """All label pairs joined by a data edge (both orders present)."""
-        return self._label_pairs
-
-    def has_label_pair(self, lu: Label, lv: Label) -> bool:
-        return (lu, lv) in self._label_pairs
-
-    def edges_with_labels(self, lu: Label, lv: Label) -> Tuple[Edge, ...]:
-        """Data edges whose endpoint labels are the unordered pair (lu, lv)."""
-        return self._edges_by_pair.get(_label_pair_key(lu, lv), _EMPTY)
-
-    def distinct_edge_label_pairs(self) -> List[Tuple[Label, Label]]:
-        """Canonical unordered label pairs realized by data edges, sorted."""
-        return sorted(self._edges_by_pair, key=repr)
-
-    # ------------------------------------------------------------------
-    # per-vertex signatures
-    # ------------------------------------------------------------------
-    def degree_of(self, vertex: Vertex) -> int:
-        return self._degrees[vertex]
-
-    def degree_map(self) -> Dict[Vertex, int]:
-        """Vertex -> degree for the whole graph (do not mutate)."""
-        return self._degrees
-
-    def signature_map(self) -> Dict[Vertex, Dict[Label, int]]:
-        """Vertex -> neighbor-label multiset for the whole graph (do not mutate)."""
-        return self._signatures
-
-    def neighbors_with_label(self, vertex: Vertex, label: Label) -> Tuple[Vertex, ...]:
-        """Neighbors of ``vertex`` carrying ``label``, pre-sorted."""
-        return self._neighbors_by_label[vertex].get(label, _EMPTY)
-
-    def signature_of(self, vertex: Vertex) -> Dict[Label, int]:
-        """Neighbor-label multiset of ``vertex`` (do not mutate)."""
-        return self._signatures[vertex]
-
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the index structures.
-
-        Counts container overhead of the inverted lists, signature maps,
-        and edge lists; excludes the vertex/label objects themselves
-        (shared with the graph).  The compact backend overrides this with
-        its buffer sizes; both feed the ``repro_index_bytes`` gauge and
-        the footprint benchmarks.
-        """
-        total = sys.getsizeof(self._label_list)
-        for members in self._label_list.values():
-            total += sys.getsizeof(members)
-        total += sys.getsizeof(self._histogram)
-        total += sys.getsizeof(self._neighbors_by_label)
-        for buckets in self._neighbors_by_label.values():
-            total += sys.getsizeof(buckets)
-            for members in buckets.values():
-                total += sys.getsizeof(members)
-        total += sys.getsizeof(self._signatures)
-        for signature in self._signatures.values():
-            total += sys.getsizeof(signature)
-            total += 28 * len(signature)  # boxed per-label counts
-        total += sys.getsizeof(self._degrees) + 28 * len(self._degrees)
-        total += sys.getsizeof(self._label_pairs)
-        total += sys.getsizeof(self._edges_by_pair)
-        for members in self._edges_by_pair.values():
-            total += sys.getsizeof(members) + 64 * len(members)  # edge tuples
-        return total
-
-    def intern_entries(self) -> int:
-        """Intern-table size (0: the dict backend stores objects directly).
-
-        The compact backend overrides this with its
-        :class:`~repro.index.compact.LabelTable` entry count (tombstones
-        included); both feed the ``repro_index_intern_entries`` gauge.
-        """
-        return 0
-
-    def dominates(self, vertex: Vertex, requirements: Dict[Label, int]) -> bool:
-        """True when ``vertex``'s neighbor-label counts cover ``requirements``.
-
-        A pattern node whose neighbors carry labels with multiplicities
-        ``requirements`` can only be hosted by data vertices passing this
-        check: pattern neighbors of one label must map injectively into
-        data neighbors of that label.
-        """
-        signature = self._signatures[vertex]
-        for label, count in requirements.items():
-            if signature.get(label, 0) < count:
-                return False
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<GraphIndex |V|={len(self._degrees)} "
-            f"labels={len(self._label_list)} pairs={len(self._edges_by_pair)} "
-            f"v{self.version}>"
-        )
-
-
 #: What callers may pass wherever an index is accepted:
 #: ``None``  -> use the graph's cached index (build it on first use);
 #: ``False`` -> brute force, no index (the reference path);
 #: a :class:`GraphIndex` -> use exactly this index.
 IndexArg = Union[None, bool, GraphIndex]
 
-#: Process-wide index backend: ``"compact"`` (interned ids + CSR buffers,
-#: the default) or ``"dict"`` (the per-entry reference implementation).
-#: Both produce byte-identical query answers; the env var seeds the
-#: default so CI smokes and benchmarks can pin a backend per process.
-_INDEX_BACKENDS = ("compact", "dict")
-_index_backend = os.environ.get("REPRO_INDEX_BACKEND", "compact")
-if _index_backend not in _INDEX_BACKENDS:  # pragma: no cover - env guard
-    _index_backend = "compact"
-
-
-def index_backend() -> str:
-    """The active index backend name (``"compact"`` or ``"dict"``)."""
-    return _index_backend
-
-
-def set_index_backend(name: str) -> str:
-    """Select the backend :func:`get_index` builds; returns the previous one.
-
-    Already-cached indexes are not evicted — they remain valid (both
-    backends answer identically) until the graph mutates.
-    """
-    global _index_backend
-    if name not in _INDEX_BACKENDS:
-        raise ValueError(
-            f"unknown index backend {name!r}; expected one of {_INDEX_BACKENDS}"
-        )
-    previous = _index_backend
-    _index_backend = name
-    return previous
-
-
-def _build_index(graph: LabeledGraph) -> GraphIndex:
-    if _index_backend == "compact":
-        from .compact import CompactGraphIndex
-
-        return CompactGraphIndex(graph)
-    return GraphIndex(graph)
-
 
 def get_index(graph: LabeledGraph) -> GraphIndex:
     """The cached index for ``graph``, (re)building after any mutation.
 
-    Builds with the active backend (:func:`index_backend`) on a cache
-    miss and publishes the ``repro_index_bytes`` /
-    ``repro_index_intern_entries`` footprint gauges for the fresh build.
+    Publishes the ``repro_index_bytes`` / ``repro_index_intern_entries``
+    footprint gauges for each fresh build.
     """
     cached = graph.cached_index()
     if isinstance(cached, GraphIndex) and cached.is_current():
-        # A backend switch invalidates caches lazily: a cached index of
-        # the wrong flavor is rebuilt on next access, not eagerly.
-        from .compact import CompactGraphIndex
-
-        want_compact = _index_backend == "compact"
-        if isinstance(cached, CompactGraphIndex) == want_compact:
-            return cached
-    index = _build_index(graph)
+        return cached
+    index = GraphIndex(graph)
     graph.cache_index(index)
     _metrics.gauge("repro_index_bytes").set(index.nbytes())
-    _metrics.gauge("repro_index_intern_entries").set(
-        getattr(index, "intern_entries", lambda: 0)()
-    )
+    _metrics.gauge("repro_index_intern_entries").set(index.intern_entries())
     return index
 
 

@@ -1,7 +1,7 @@
-"""Compact-core tests: LabelTable interning, CSR patching, backend switch.
+"""Compact-core tests: LabelTable interning, CSR patching, footprint model.
 
-The compact index must be indistinguishable from the dict index through
-every decoded query, and its O(delta) CSR splices must land exactly
+Every decoded query of the index must equal the answer computed from the
+``LabeledGraph`` itself, and its O(delta) CSR splices must land exactly
 where a from-scratch rebuild would put them — under randomized mixed
 insert/delete/window churn, not just single-delta unit cases.  The
 intern table may keep tombstones while patching (slots are never
@@ -11,9 +11,12 @@ recycled) but a rebuild must shed them.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
+import repro
+import repro.index
 from repro.datasets.synthetic import random_labeled_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import (
@@ -21,11 +24,12 @@ from repro.index import (
     GraphIndex,
     IndexMaintainer,
     LabelTable,
+    MaintainableIndex,
     get_index,
-    index_backend,
     projected_index_nbytes,
-    set_index_backend,
+    resolve_index,
 )
+from repro.index.graph_index import _label_pair_key
 
 
 def decoded_view(index, graph):
@@ -35,8 +39,8 @@ def decoded_view(index, graph):
         "hist": index.label_histogram(),
         "adj_pairs": index.adjacent_label_pairs(),
         "pairs": index.distinct_edge_label_pairs(),
-        "deg": index.degree_map(),
-        "sig": index.signature_map(),
+        "deg": {v: index.degree_of(v) for v in graph.vertices()},
+        "sig": {v: index.signature_of(v) for v in graph.vertices()},
         "inv": {label: index.vertices_with_label(label) for label in labels},
         "nwl": {
             (v, label): index.neighbors_with_label(v, label)
@@ -47,6 +51,47 @@ def decoded_view(index, graph):
             pair: index.edges_with_labels(*pair)
             for pair in index.distinct_edge_label_pairs()
         },
+    }
+
+
+def graph_view(graph):
+    """The same queries answered from the ``LabeledGraph`` itself.
+
+    This is the oracle the index must reproduce exactly: every vertex and
+    edge sequence sorted by ``repr``, every count taken from adjacency.
+    """
+
+    def by_repr(items):
+        return tuple(sorted(items, key=repr))
+
+    labels = graph.label_alphabet()
+    label_of = graph.label_of
+    edges = {}
+    for u, v in graph.edges():
+        edges.setdefault(_label_pair_key(label_of(u), label_of(v)), []).append((u, v))
+    signatures = {}
+    for vertex in graph.vertices():
+        counts = {}
+        for neighbor in graph.neighbors(vertex):
+            counts[label_of(neighbor)] = counts.get(label_of(neighbor), 0) + 1
+        signatures[vertex] = counts
+    return {
+        "hist": graph.label_histogram(),
+        "adj_pairs": frozenset(
+            pair
+            for u, v in graph.edges()
+            for pair in ((label_of(u), label_of(v)), (label_of(v), label_of(u)))
+        ),
+        "pairs": sorted(edges, key=repr),
+        "deg": {vertex: graph.degree(vertex) for vertex in graph.vertices()},
+        "sig": signatures,
+        "inv": {label: by_repr(graph.vertices_with_label(label)) for label in labels},
+        "nwl": {
+            (v, label): by_repr(graph.neighbors_with_label(v, label))
+            for v in graph.vertices()
+            for label in labels
+        },
+        "edges": {pair: by_repr(members) for pair, members in edges.items()},
     }
 
 
@@ -71,62 +116,63 @@ class TestLabelTable:
         assert table.nbytes() > 0
 
 
-class TestBackendSwitch:
-    @pytest.fixture(autouse=True)
-    def _restore(self):
-        previous = index_backend()
-        yield
-        set_index_backend(previous)
+class TestSingleIndex:
+    """One index class; ``resolve_index`` maps every request onto it."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_index_backend("sparse-matrix")
+    def test_graph_index_is_the_compact_class(self):
+        assert GraphIndex is CompactGraphIndex
+        assert repro.GraphIndex is CompactGraphIndex
+        assert issubclass(CompactGraphIndex, MaintainableIndex)
+        for retired in ("set_index_backend", "index_backend"):
+            assert not hasattr(repro.index, retired)
 
-    def test_switch_returns_previous(self):
-        first = set_index_backend("dict")
-        assert first in ("dict", "compact")
-        assert set_index_backend("compact") == "dict"
-
-    def test_get_index_follows_backend(self):
+    def test_resolve_index_brute_and_default_requests(self):
         graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=5)
-        set_index_backend("dict")
-        index = get_index(graph)
-        assert type(index) is GraphIndex
-        set_index_backend("compact")
-        index = get_index(graph)
-        assert isinstance(index, CompactGraphIndex)
-        # The compact cache keeps serving while the backend is compact.
-        assert get_index(graph) is index
+        assert resolve_index(graph, False) is None
+        cached = get_index(graph)
+        assert isinstance(cached, CompactGraphIndex)
+        assert resolve_index(graph, None) is cached
+        assert resolve_index(graph, True) is cached
+
+    def test_resolve_index_replaces_stale_or_foreign_index(self):
+        graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=5)
+        other = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=6)
+        explicit = CompactGraphIndex.build(graph)
+        assert resolve_index(graph, explicit) is explicit
+        foreign = CompactGraphIndex.build(other)
+        assert resolve_index(graph, foreign) is get_index(graph)
+        graph.add_vertex("fresh", "A")
+        assert not explicit.is_current()
+        fresh = resolve_index(graph, explicit)
+        assert fresh is not explicit
+        assert fresh.is_current()
+        assert "fresh" in fresh.vertices_with_label("A")
 
 
 class TestCompactFootprint:
-    def test_compact_smaller_than_dict(self):
+    def test_compact_smaller_than_adjacency_sets(self):
+        # The index holds adjacency, inverted lists and label-pair edge
+        # lists, yet its flat arrays undercut a plain dict-of-sets
+        # adjacency of the same graph.
         graph = random_labeled_graph(40, 0.2, alphabet=("A", "B", "C"), seed=11)
-        dict_bytes = GraphIndex.build(graph).nbytes()
-        compact_bytes = CompactGraphIndex(graph).nbytes()
-        assert compact_bytes < dict_bytes / 2
+        adjacency = {v: set(graph.neighbors(v)) for v in graph.vertices()}
+        adjacency_bytes = sys.getsizeof(adjacency) + sum(
+            sys.getsizeof(members) for members in adjacency.values()
+        )
+        assert CompactGraphIndex(graph).nbytes() < 0.75 * adjacency_bytes
 
     def test_projected_footprint_tracks_nbytes(self):
         # The projection is the pager's cost model: it must land within a
-        # small constant factor of the measured footprint for both
-        # backends and preserve the compact-vs-dict ordering.
+        # small constant factor of the measured footprint.
         for seed, size, p in ((3, 30, 0.2), (7, 80, 0.12), (19, 150, 0.08)):
             graph = random_labeled_graph(
                 size, p, alphabet=("A", "B", "C", "D"), seed=seed
             )
-            num_labels = len(graph.label_alphabet())
-            for backend, index in (
-                ("dict", GraphIndex.build(graph)),
-                ("compact", CompactGraphIndex(graph)),
-            ):
-                projected = projected_index_nbytes(
-                    graph.num_vertices, graph.num_edges, num_labels, backend
-                )
-                measured = index.nbytes()
-                assert measured / 3 <= projected <= measured * 3
-        projected_dict = projected_index_nbytes(100, 300, 4, "dict")
-        projected_compact = projected_index_nbytes(100, 300, 4, "compact")
-        assert projected_compact <= 0.7 * projected_dict
+            projected = projected_index_nbytes(
+                graph.num_vertices, graph.num_edges, len(graph.label_alphabet())
+            )
+            measured = CompactGraphIndex(graph).nbytes()
+            assert measured / 3 <= projected <= measured * 3
 
     def test_intern_entries_counts_table(self):
         graph = random_labeled_graph(15, 0.3, alphabet=("A", "B"), seed=2)
@@ -134,7 +180,6 @@ class TestCompactFootprint:
         assert index.intern_entries() == graph.num_vertices + len(
             graph.label_alphabet()
         )
-        assert GraphIndex.build(graph).intern_entries() == 0
 
 
 def _random_mutation(rng: random.Random, graph: LabeledGraph, next_id: list) -> None:
@@ -160,7 +205,7 @@ def _random_mutation(rng: random.Random, graph: LabeledGraph, next_id: list) -> 
 
 
 class TestCompactChurn:
-    """CSR-patched == rebuilt under randomized mixed churn streams."""
+    """CSR-patched == rebuilt == graph oracle under randomized mixed churn."""
 
     @pytest.mark.parametrize("seed", [1, 2, 5, 9, 14, 23, 31, 47])
     def test_patched_matches_rebuilt(self, seed):
@@ -180,8 +225,7 @@ class TestCompactChurn:
             assert patched.is_current()
             if step % 20 == 19:
                 rebuilt = patched.rebuilt()
-                fresh_dict = GraphIndex.build(graph)
-                expected = decoded_view(fresh_dict, graph)
+                expected = graph_view(graph)
                 assert decoded_view(patched, graph) == expected
                 assert decoded_view(rebuilt, graph) == expected
 
@@ -216,22 +260,19 @@ class TestCompactChurn:
         rebuilt = index.rebuilt()
         assert rebuilt.intern_entries() == live  # rebuild sheds them
         assert decoded_view(rebuilt, graph) == decoded_view(index, graph)
+        assert decoded_view(index, graph) == graph_view(graph)
 
     def test_maintainer_patches_compact_index(self):
-        previous = set_index_backend("compact")
-        try:
-            graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=4)
-            maintainer = IndexMaintainer(graph)
-            assert isinstance(maintainer.index(), CompactGraphIndex)
-            anchor = sorted(graph.vertices(), key=repr)[0]
-            graph.add_vertex("fresh", "A")
-            graph.add_edge("fresh", anchor)
-            index = maintainer.index()
-            assert index.is_current()
-            assert "fresh" in index.vertices_with_label("A")
-            assert maintainer.patches_applied >= 1
-        finally:
-            set_index_backend(previous)
+        graph = random_labeled_graph(12, 0.3, alphabet=("A", "B"), seed=4)
+        maintainer = IndexMaintainer(graph)
+        assert isinstance(maintainer.index(), CompactGraphIndex)
+        anchor = sorted(graph.vertices(), key=repr)[0]
+        graph.add_vertex("fresh", "A")
+        graph.add_edge("fresh", anchor)
+        index = maintainer.index()
+        assert index.is_current()
+        assert "fresh" in index.vertices_with_label("A")
+        assert maintainer.patches_applied >= 1
 
 
 class TestSegmentSetMemo:

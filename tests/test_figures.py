@@ -1,7 +1,8 @@
 """Integration tests: every thesis figure reproduces its pinned values.
 
-This is the per-experiment index of DESIGN.md made executable — one test
-class per figure, asserting exactly what the thesis text states.
+This is the per-figure index of ``repro.datasets.paper_figures`` made
+executable — one test class per figure, asserting exactly what the thesis
+text states.
 """
 
 import pytest

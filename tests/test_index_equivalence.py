@@ -25,13 +25,7 @@ from repro.hypergraph.overlap import (
     overlap_statistics,
     overlaps,
 )
-from repro.index import (
-    CompactGraphIndex,
-    GraphIndex,
-    get_index,
-    index_backend,
-    set_index_backend,
-)
+from repro.index import CompactGraphIndex, GraphIndex, IndexMaintainer, get_index
 from repro.isomorphism.anchored import valid_images
 from repro.isomorphism.matcher import find_occurrences
 from repro.isomorphism.vf2 import find_subgraph_isomorphisms
@@ -202,6 +196,7 @@ class TestOverlapEquivalence:
 class TestIndexLifecycle:
     def test_index_caches_and_invalidates(self, graph):
         first = get_index(graph)
+        assert type(first) is CompactGraphIndex  # the one index class
         assert get_index(graph) is first  # cached while unmutated
         vertex = graph.vertices()[0]
         label = graph.label_of(vertex)
@@ -225,6 +220,33 @@ class TestIndexLifecycle:
             pattern, graph, index=False
         )
 
+    def test_mining_identical_through_patched_index(self, graph):
+        # Mutate under an IndexMaintainer so the cached index the miner
+        # picks up is delta-patched, not rebuilt; mining over it must
+        # still equal brute force on the mutated graph.
+        maintainer = IndexMaintainer(graph)
+        anchors = graph.vertices()[:2]
+        graph.add_vertex("patched-vertex", graph.label_of(anchors[0]))
+        for anchor in anchors:
+            graph.add_edge("patched-vertex", anchor)
+        for u, v in graph.edges():
+            if "patched-vertex" not in (u, v):
+                graph.remove_edge(u, v)
+                break
+        patched = maintainer.index()
+        assert maintainer.patches_applied >= 1
+        assert get_index(graph) is patched
+        kwargs = dict(
+            measure="mni", min_support=2, max_pattern_nodes=3, max_pattern_edges=3
+        )
+        indexed = mine_frequent_patterns(graph, **kwargs)
+        brute = mine_frequent_patterns(graph, use_index=False, **kwargs)
+        assert indexed.certificates() == brute.certificates()
+        assert [fp.support for fp in indexed.frequent] == [
+            fp.support for fp in brute.frequent
+        ]
+        assert indexed.stats.as_dict() == brute.stats.as_dict()
+
     def test_inverted_lists_cover_graph(self, graph):
         index = GraphIndex.build(graph)
         seen = []
@@ -242,52 +264,49 @@ class TestIndexLifecycle:
 
 
 class TestBackendEquivalence:
-    """compact == dict == brute, byte-identical, on every seeded graph.
+    """index == brute, byte-identical, on every seeded graph.
 
-    The compact backend's int-id engines (vf2 collector/generator,
-    anchored probes, lazy MNI) must reproduce the dict engines' results
-    exactly — content AND order — which in turn must match brute force.
-    Explicit index instances pin the backend per call, so this axis
-    holds regardless of the process-default backend.
+    The index's int-id engines (vf2 collector/generator, anchored probes,
+    lazy MNI) must reproduce the brute-force results exactly — content
+    AND order — whether the index is the graph's cached one (the default)
+    or an explicit instance passed per call.
     """
 
     def test_occurrence_lists_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
         compact_index = CompactGraphIndex.build(graph)
         for pattern in PATTERNS:
             brute = find_occurrences(pattern, graph, index=False)
-            assert find_occurrences(pattern, graph, index=dict_index) == brute
             assert find_occurrences(pattern, graph, index=compact_index) == brute
 
     def test_generator_streams_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
         compact_index = CompactGraphIndex.build(graph)
         for pattern in PATTERNS:
-            brute = list(find_subgraph_isomorphisms(pattern, graph, index=False))
-            assert (
-                list(find_subgraph_isomorphisms(pattern, graph, index=dict_index))
-                == brute
-            )
-            assert (
-                list(
-                    find_subgraph_isomorphisms(pattern, graph, index=compact_index)
+            # Induced matching ignores the index; it must still agree.
+            for induced in (False, True):
+                brute = list(
+                    find_subgraph_isomorphisms(
+                        pattern, graph, induced=induced, index=False
+                    )
                 )
-                == brute
-            )
+                assert (
+                    list(find_subgraph_isomorphisms(pattern, graph, induced=induced))
+                    == brute
+                )
+                assert (
+                    list(
+                        find_subgraph_isomorphisms(
+                            pattern, graph, induced=induced, index=compact_index
+                        )
+                    )
+                    == brute
+                )
 
     def test_valid_images_identical(self, graph):
-        dict_index = GraphIndex.build(graph)
         compact_index = CompactGraphIndex.build(graph)
         for pattern in PATTERNS[:3]:
             for node in pattern.nodes():
                 brute = valid_images(pattern, graph, node, index=False)
-                assert (
-                    valid_images(pattern, graph, node, index=dict_index) == brute
-                )
-                assert (
-                    valid_images(pattern, graph, node, index=compact_index)
-                    == brute
-                )
+                assert valid_images(pattern, graph, node, index=compact_index) == brute
                 for stop_after in (1, 2):
                     truncated = valid_images(
                         pattern, graph, node, stop_after=stop_after, index=False
@@ -302,24 +321,6 @@ class TestBackendEquivalence:
                         )
                         == truncated
                     )
-
-    def test_mining_identical_across_backends(self, graph):
-        kwargs = dict(
-            measure="mni", min_support=2, max_pattern_nodes=3, max_pattern_edges=3
-        )
-        previous = index_backend()
-        try:
-            set_index_backend("dict")
-            dict_result = mine_frequent_patterns(graph, **kwargs)
-            set_index_backend("compact")
-            compact_result = mine_frequent_patterns(graph, **kwargs)
-        finally:
-            set_index_backend(previous)
-        assert compact_result.certificates() == dict_result.certificates()
-        assert [fp.support for fp in compact_result.frequent] == [
-            fp.support for fp in dict_result.frequent
-        ]
-        assert compact_result.stats.as_dict() == dict_result.stats.as_dict()
 
 
 class TestMinerRobustness:
