@@ -1,10 +1,7 @@
-"""tab9 (ablation) — incremental machinery vs recomputing from scratch.
+"""tab9b–d (ablations) — incremental machinery vs recomputing from scratch.
 
 Three ablations share this module:
 
-* **tab9** — embedding propagation (:mod:`repro.mining.incremental`) vs
-  the recomputing miner: extending the parent's embedding list avoids
-  re-running subgraph isomorphism for every candidate;
 * **tab9b** — delta-maintained dynamic mining
   (:mod:`repro.mining.dynamic`) vs full re-mining per batch over an
   insertion stream: patching the `GraphIndex` in O(delta) and re-evaluating
@@ -41,10 +38,7 @@ from stream_workloads import (
 )
 
 from repro.analysis.report import format_table
-from repro.datasets.synthetic import planted_pattern_graph
-from repro.graph.builders import path_pattern, star_pattern
 from repro.mining.dynamic import DynamicMiner
-from repro.mining.incremental import mine_frequent_patterns_incremental
 from repro.mining.miner import mine_frequent_patterns
 from repro.mining.standing import StandingSpec, answer_from_result, diff_answer
 from repro.service import ResultCache
@@ -55,76 +49,6 @@ from repro.service.subscriptions import SubscriptionRegistry
 pytestmark = pytest.mark.filterwarnings(
     "ignore:legacy mining kwargs:DeprecationWarning"
 )
-
-
-@pytest.fixture(scope="module")
-def workload():
-    pattern = star_pattern("A", ["B", "B"])
-    graph = planted_pattern_graph(pattern, num_copies=12, overlap_fraction=0.5, seed=19)
-    chain = path_pattern(["B", "A", "B", "A"])
-    welded = planted_pattern_graph(chain, num_copies=6, overlap_fraction=0.4, seed=7)
-    offset = graph.num_vertices + 50
-    for vertex in welded.vertices():
-        graph.add_vertex(vertex + offset, welded.label_of(vertex))
-    for u, v in welded.edges():
-        graph.add_edge(u + offset, v + offset)
-    return graph
-
-
-def test_tab9_incremental_vs_recompute(workload, benchmark, emit):
-    rows = []
-    for max_nodes in (3, 4):
-        start = time.perf_counter()
-        baseline = mine_frequent_patterns(
-            workload, measure="mni", min_support=3, max_pattern_nodes=max_nodes
-        )
-        t_base = time.perf_counter() - start
-
-        start = time.perf_counter()
-        incremental = mine_frequent_patterns_incremental(
-            workload, measure="mni", min_support=3, max_pattern_nodes=max_nodes
-        )
-        t_inc = time.perf_counter() - start
-
-        assert baseline.certificates() == incremental.certificates()
-        rows.append(
-            [
-                max_nodes,
-                baseline.num_frequent,
-                baseline.stats.occurrence_enumerations,
-                incremental.stats.occurrence_enumerations,
-                f"{t_base*1e3:.1f}",
-                f"{t_inc*1e3:.1f}",
-            ]
-        )
-    emit(
-        format_table(
-            [
-                "max nodes",
-                "frequent",
-                "enumerations (recompute)",
-                "enumerations (incremental)",
-                "recompute ms",
-                "incremental ms",
-            ],
-            rows,
-            title="tab9: embedding propagation vs recomputing miner (identical results)",
-        )
-    )
-
-    benchmark(
-        lambda: mine_frequent_patterns_incremental(
-            workload, measure="mni", min_support=3, max_pattern_nodes=3
-        )
-    )
-
-
-def test_tab9_benchmark_recompute(workload, benchmark):
-    benchmark(
-        lambda: mine_frequent_patterns(
-            workload, measure="mni", min_support=3, max_pattern_nodes=3
-        )
-    )
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,12 @@ def _spec_parent() -> argparse.ArgumentParser:
     parent.add_argument("--max-nodes", type=int, default=spec.max_pattern_nodes)
     parent.add_argument("--max-edges", type=int, default=spec.max_pattern_edges)
     parent.add_argument(
+        "--max-occurrences",
+        type=int,
+        default=spec.max_occurrences,
+        help="stop enumerating a candidate's occurrences past this many",
+    )
+    parent.add_argument(
         "--lazy",
         action="store_true",
         default=spec.lazy,
@@ -142,6 +148,7 @@ def spec_from_args(args: argparse.Namespace, stream: bool = False) -> MiningSpec
         min_support=args.min_support,
         max_pattern_nodes=args.max_nodes,
         max_pattern_edges=args.max_edges,
+        max_occurrences=args.max_occurrences,
         lazy=args.lazy,
         use_index=not args.no_index,
         workers=args.workers,

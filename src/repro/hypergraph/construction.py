@@ -11,7 +11,8 @@ Both are k-uniform with ``k = |V_P|`` (every occurrence is injective).
 
 Occurrence enumeration routes through the data graph's acceleration index
 by default (see :mod:`repro.index`); pass ``index=False`` for the
-brute-force reference path.
+brute-force reference path.  The miner's serial indexed path extends its
+parent's occurrence table instead (:mod:`repro.isomorphism.table`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ..isomorphism.matcher import (
     find_occurrences,
     group_into_instances,
 )
+from ..isomorphism.table import OccurrenceTable, Step
 from .hypergraph import Hypergraph
 
 
@@ -83,12 +85,16 @@ class HypergraphBundle:
     access and cached: occurrence-only measures (MNI, MI, occurrence
     counts) never pay for instance grouping, which is a large share of the
     miner's per-candidate cost.
+
+    A bundle grown from a parent's :class:`OccurrenceTable` decodes
+    ``occurrences`` only when a measure reads them (MNI never does).
     """
 
     __slots__ = (
         "pattern",
         "data",
-        "occurrences",
+        "table",
+        "_occurrences",
         "_instances",
         "_occurrence_hg",
         "_instance_hg",
@@ -98,14 +104,16 @@ class HypergraphBundle:
         self,
         pattern: Pattern,
         data: LabeledGraph,
-        occurrences: List[Occurrence],
+        occurrences: Optional[List[Occurrence]] = None,
         instances: Optional[List[Instance]] = None,
         occurrence_hg: Optional[Hypergraph] = None,
         instance_hg: Optional[Hypergraph] = None,
+        table: Optional[OccurrenceTable] = None,
     ) -> None:
         self.pattern = pattern
         self.data = data
-        self.occurrences = occurrences
+        self.table = table
+        self._occurrences = occurrences
         self._instances = instances
         self._occurrence_hg = occurrence_hg
         self._instance_hg = instance_hg
@@ -117,13 +125,34 @@ class HypergraphBundle:
         data: LabeledGraph,
         limit: Optional[int] = None,
         index: IndexArg = None,
+        parent: Optional[OccurrenceTable] = None,
+        step: Optional[Step] = None,
     ) -> "HypergraphBundle":
-        """Enumerate occurrences once; derived views materialize on demand."""
-        return cls(
-            pattern=pattern,
-            data=data,
-            occurrences=find_occurrences(pattern, data, limit=limit, index=index),
-        )
+        """Enumerate occurrences once; derived views materialize on demand.
+
+        With ``parent`` (the complete table of the pattern ``step`` grew
+        into ``pattern``) the occurrences come from extending that table
+        instead of a search.  Past ``limit`` the table keeps the rows a
+        limited search would return.
+        """
+        if parent is None:
+            return cls(
+                pattern=pattern,
+                data=data,
+                occurrences=find_occurrences(pattern, data, limit=limit, index=index),
+            )
+        if not parent.complete:
+            raise ValueError("only a complete occurrence table can be extended")
+        table = parent.extend(step)
+        if limit is not None and len(table) > limit:
+            table = table.truncated(pattern, limit)
+        return cls(pattern=pattern, data=data, table=table)
+
+    @property
+    def occurrences(self) -> List[Occurrence]:
+        if self._occurrences is None:
+            self._occurrences = self.table.decode(self.pattern)
+        return self._occurrences
 
     @property
     def instances(self) -> List[Instance]:
@@ -145,7 +174,9 @@ class HypergraphBundle:
 
     @property
     def num_occurrences(self) -> int:
-        return len(self.occurrences)
+        if self._occurrences is None:
+            return len(self.table)
+        return len(self._occurrences)
 
     @property
     def num_instances(self) -> int:

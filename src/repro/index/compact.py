@@ -182,8 +182,8 @@ class CompactGraphIndex(MaintainableIndex):
         "_memo_pairs",
         "_memo_hist",
         "_memo_lpairs",
-        "_memo_nwl",
         "_memo_segset",
+        "_memo_ranks",
     )
 
     def __init__(self, graph: LabeledGraph) -> None:  # noqa: C901
@@ -259,14 +259,14 @@ class CompactGraphIndex(MaintainableIndex):
     def _reset_memos(self) -> None:
         # Decoded-object caches (lazy, rebuilt after any patch): decoding
         # translates vints back to vertex objects, and repeated decoded
-        # queries (sharded evaluation, incremental extension) should not
-        # pay that per call.
+        # queries (sharded evaluation, occurrence-table decoding) should
+        # not pay that per call.
         self._memo_inv: Dict[int, Tuple[Vertex, ...]] = {}
         self._memo_pairs: Dict[Tuple[int, int], Tuple[Edge, ...]] = {}
         self._memo_hist: Optional[Dict[Label, int]] = None
         self._memo_lpairs: Optional[FrozenSet[Tuple[Label, Label]]] = None
-        self._memo_nwl: Dict[Tuple[int, int], Tuple[Vertex, ...]] = {}
         self._memo_segset: Dict[int, FrozenSet[int]] = {}
+        self._memo_ranks: Optional[array] = None
 
     def _pair_key(self, la: int, lb: int) -> Tuple[int, int]:
         """Canonical (repr-ordered by decoded label) form of a lint pair."""
@@ -324,6 +324,24 @@ class CompactGraphIndex(MaintainableIndex):
             cached = frozenset(row[start:stop])
             self._memo_segset[key] = cached
         return cached
+
+    def vint_ranks(self) -> array:
+        """Each vint's position in canonical (``repr``) vertex order.
+
+        A build interns vertices in canonical order, so there the ranks
+        are the identity; slots appended by patches break that, and
+        sorting interned ids by value would then disagree with the order
+        the engines emit.  Memoized until the next patch.
+        """
+        ranks = self._memo_ranks
+        if ranks is None:
+            vertex_of = self.table.vertex_of
+            order = sorted(range(len(vertex_of)), key=lambda vi: repr(vertex_of[vi]))
+            ranks = array("i", order)
+            for position, vi in enumerate(order):
+                ranks[vi] = position
+            self._memo_ranks = ranks  # published only once filled
+        return ranks
 
     # ------------------------------------------------------------------
     # factory / freshness
@@ -646,15 +664,9 @@ class CompactGraphIndex(MaintainableIndex):
         li = self.table._lint_of.get(label)
         if li is None:
             return _EMPTY
-        cached = self._memo_nwl.get((vi, li))
-        if cached is None:
-            row, start, stop = self._segment(vi, li)
-            if start == stop:
-                return _EMPTY
-            dec = self.table.vertex_of
-            cached = tuple(dec[row[i]] for i in range(start, stop))
-            self._memo_nwl[(vi, li)] = cached
-        return cached
+        row, start, stop = self._segment(vi, li)
+        dec = self.table.vertex_of
+        return tuple(dec[row[i]] for i in range(start, stop))
 
     def signature_of(self, vertex: Vertex) -> Dict[Label, int]:
         """Neighbor-label multiset of ``vertex`` (its CSR row directory)."""

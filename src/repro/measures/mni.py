@@ -26,23 +26,17 @@ from .base import register_measure
 def mni_support_from_occurrences(
     pattern: Pattern, occurrences: Sequence[Occurrence]
 ) -> int:
-    """``sigma_MNI`` computed directly from an occurrence list.
-
-    Single pass over occurrences: maintain one image set per pattern node.
-    """
-    if not occurrences:
-        return 0
-    images: Dict[Vertex, Set[Vertex]] = {node: set() for node in pattern.nodes()}
-    for occurrence in occurrences:
-        for node, vertex in occurrence.mapping_items:
-            images[node].add(vertex)
-    return min(len(image_set) for image_set in images.values())
+    """``sigma_MNI`` computed directly from an occurrence list."""
+    return min(node_image_counts(pattern, occurrences).values())
 
 
 def node_image_counts(
     pattern: Pattern, occurrences: Sequence[Occurrence]
 ) -> Dict[Vertex, int]:
-    """Distinct-image count per pattern node (the '# of images' row of Fig. 2)."""
+    """Distinct-image count per pattern node (the '# of images' row of Fig. 2).
+
+    Single pass over occurrences: maintain one image set per pattern node.
+    """
     images: Dict[Vertex, Set[Vertex]] = {node: set() for node in pattern.nodes()}
     for occurrence in occurrences:
         for node, vertex in occurrence.mapping_items:
@@ -93,5 +87,11 @@ def mni_k_support_from_occurrences(
     description="Minimum distinct-image count over pattern nodes (Bringmann & Nijssen).",
 )
 def mni_support(bundle: HypergraphBundle) -> float:
-    """``sigma_MNI(P, G)`` from a hypergraph bundle."""
+    """``sigma_MNI(P, G)`` from a hypergraph bundle.
+
+    A bundle holding an occurrence table answers from its per-column
+    image counts, without decoding a single occurrence.
+    """
+    if bundle.table is not None:
+        return float(min(bundle.table.image_counts()))
     return float(mni_support_from_occurrences(bundle.pattern, bundle.occurrences))

@@ -14,7 +14,6 @@ from .dynamic import (
     mine_stream,
     pattern_footprint,
 )
-from .incremental import IncrementalMiner, mine_frequent_patterns_incremental
 from .miner import FrequentSubgraphMiner, mine_frequent_patterns
 from .results import FrequentPattern, MiningResult, MiningStats
 from .spec import DEFAULT_SPEC, UNSET, MiningSpec, resolve_spec
@@ -45,8 +44,6 @@ __all__ = [
     "forward_extensions",
     "single_edge_patterns",
     "FrequentSubgraphMiner",
-    "IncrementalMiner",
-    "mine_frequent_patterns_incremental",
     "mine_frequent_patterns",
     "FrequentPattern",
     "MiningResult",

@@ -1,7 +1,7 @@
 """Dynamic frequent-subgraph mining over a growing data graph.
 
-The static miners (:mod:`repro.mining.miner`, ``.incremental``) answer one
-question about one graph snapshot.  :class:`DynamicMiner` maintains the
+The static miner (:mod:`repro.mining.miner`) answers one question about
+one graph snapshot.  :class:`DynamicMiner` maintains the
 answer *under a stream of updates*: mutate the data graph, call
 :meth:`DynamicMiner.refresh`, and the frequent-pattern set is brought
 current — without re-evaluating patterns the updates cannot have touched.

@@ -39,6 +39,7 @@ from ..graph.canonical import canonical_certificate
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.pattern import Pattern
 from ..index.graph_index import GraphIndex, get_index
+from ..isomorphism.table import OccurrenceTable, growth_step
 from ..measures.base import measure_info
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -50,13 +51,17 @@ from .spec import UNSET, MiningSpec, resolve_spec
 _LOG = get_logger("mining.miner")
 
 
-def record_session_metrics(stats: MiningStats, levels: int) -> None:
+def record_session_metrics(
+    stats: MiningStats, levels: int, propagations: int = 0
+) -> None:
     """Flush one mining session's counters onto the active registry.
 
     Called once at session end (never per candidate — the hot loop pays
     nothing) by both the static and dynamic lattice walks; zero-valued
     counters still register, so every ``repro_miner_*`` name appears in
-    snapshots from the first session on.
+    snapshots from the first session on.  ``propagations`` (candidates
+    that extended their parent's occurrence table) is no
+    :class:`MiningStats` field: indexed and brute stats must stay equal.
     """
     registry = _metrics.get_registry()
     registry.counter("repro_miner_sessions").inc()
@@ -69,6 +74,7 @@ def record_session_metrics(stats: MiningStats, levels: int) -> None:
     # snapshot must still carry the names.
     registry.counter("repro_match_vf2_calls")
     registry.counter("repro_match_anchored_searches")
+    registry.counter("repro_match_propagations").inc(propagations)
     for name, value in stats.as_dict().items():
         registry.counter(f"repro_miner_{name}").inc(value)
 
@@ -270,6 +276,23 @@ class FrequentSubgraphMiner:
             num_occurrences=num_occurrences,
         )
 
+    def _flat_support(self, pattern: Pattern, **growth) -> Tuple:
+        """:func:`~repro.mining.parallel.evaluate_support` on the flat graph."""
+        from .parallel import evaluate_support
+
+        return evaluate_support(
+            pattern,
+            self.data,
+            self.measure,
+            lazy=self.lazy,
+            lazy_cap=self._lazy_cap,
+            max_occurrences=self.max_occurrences,
+            index_arg=self._index_arg,
+            histogram=self._histogram,
+            prune_below=self.min_support,
+            **growth,
+        )
+
     def _support_of(
         self, pattern: Pattern, certificate: str, stats: MiningStats
     ) -> FrequentPattern:
@@ -288,21 +311,29 @@ class FrequentSubgraphMiner:
                 histogram=self._histogram,
                 prune_below=self.min_support,
             )
-            return self._record(pattern, certificate, support, num_occurrences, stats)
-        from .parallel import evaluate_support
-
-        support, num_occurrences = evaluate_support(
-            pattern,
-            self.data,
-            self.measure,
-            lazy=self.lazy,
-            lazy_cap=self._lazy_cap,
-            max_occurrences=self.max_occurrences,
-            index_arg=self._index_arg,
-            histogram=self._histogram,
-            prune_below=self.min_support,
-        )
+        else:
+            support, num_occurrences = self._flat_support(pattern)
         return self._record(pattern, certificate, support, num_occurrences, stats)
+
+    def _evaluate_grown(
+        self, level: Sequence[Tuple[Pattern, str]], lineage: Sequence[tuple], stats
+    ) -> Tuple[List[FrequentPattern], List[Optional[OccurrenceTable]], int]:
+        """One level on the table path: ``(results, tables, grown)``.
+
+        A candidate whose lineage names a parent table extends it; the
+        rest enumerate.  ``grown`` counts the candidates that extended.
+        """
+        results, tables, grown = [], [], 0
+        for (pattern, certificate), (parent, step) in zip(level, lineage):
+            support, num_occurrences, table = self._flat_support(
+                pattern, parent=parent, step=step, keep_table=True
+            )
+            grown += parent is not None and table is not None
+            results.append(
+                self._record(pattern, certificate, support, num_occurrences, stats)
+            )
+            tables.append(table)
+        return results, tables, grown
 
     # ------------------------------------------------------------------
     def _evaluate_level(
@@ -390,26 +421,12 @@ class FrequentSubgraphMiner:
             ShardWorkerPool,
             pooled_outcomes,
         )
-        from .parallel import evaluate_support
 
         runner = (
             pool
             if isinstance(pool, ShardWorkerPool)
             else ExecutorShardRunner(pool, self.workers)
         )
-
-        def flat_evaluate(pattern: Pattern) -> Tuple[float, int]:
-            return evaluate_support(
-                pattern,
-                self.data,
-                self.measure,
-                lazy=self.lazy,
-                lazy_cap=self._lazy_cap,
-                max_occurrences=self.max_occurrences,
-                index_arg=self._index_arg,
-                histogram=self._histogram,
-                prune_below=self.min_support,
-            )
 
         return pooled_outcomes(
             [pattern for pattern, _ in level],
@@ -419,7 +436,7 @@ class FrequentSubgraphMiner:
             lazy=self.lazy,
             lazy_cap=self._lazy_cap,
             max_occurrences=self.max_occurrences,
-            flat_evaluate=flat_evaluate,
+            flat_evaluate=self._flat_support,
             histogram=self._histogram,
             prune_below=self.min_support,
         )
@@ -493,6 +510,13 @@ class FrequentSubgraphMiner:
         frequent: List[FrequentPattern] = []
         seen: set = set()
         levels = 0
+        # Only the indexed, serial, flat, eager path extends occurrence
+        # tables; the brute oracle, lazy MNI, pooled and sharded
+        # evaluation enumerate every candidate.
+        grows_tables = (
+            self.use_index and not self.lazy and self.workers <= 1 and self.shards <= 1
+        )
+        propagations = 0
 
         with _trace.span(
             "mine",
@@ -512,6 +536,10 @@ class FrequentSubgraphMiner:
                     seen.add(certificate)
                     level.append((seed, certificate))
                 seed_span.set(seeds=len(level))
+            # Per candidate: its parent's complete table and the step
+            # between them, or (None, None) to enumerate.  A table lives
+            # for exactly one level.
+            lineage: List[tuple] = [(None, None)] * len(level)
 
             pool = self._make_pool()
             try:
@@ -524,19 +552,28 @@ class FrequentSubgraphMiner:
                         "level", level=levels, candidates=len(level)
                     ) as level_span:
                         stats.patterns_evaluated += len(level)
-                        survivors: List[Pattern] = []
                         with _trace.span("evaluate", candidates=len(level)):
-                            results, pool = self._evaluate_level(level, stats, pool)
-                        for evaluated in results:
+                            if grows_tables:
+                                results, tables, grown = self._evaluate_grown(
+                                    level, lineage, stats
+                                )
+                                propagations += grown
+                            else:
+                                results, pool = self._evaluate_level(level, stats, pool)
+                                tables = [None] * len(results)
+                        survivors: List[Tuple[Pattern, Optional[OccurrenceTable]]] = []
+                        for evaluated, table in zip(results, tables):
                             if evaluated.support >= self.min_support:
                                 stats.patterns_frequent += 1
                                 frequent.append(evaluated)
-                                survivors.append(evaluated.pattern)
+                                survivors.append((evaluated.pattern, table))
                             else:
                                 stats.patterns_pruned += 1
+                        del tables  # only survivors' tables outlive the level
                         next_level: List[Tuple[Pattern, str]] = []
+                        next_lineage: List[tuple] = []
                         with _trace.span("extend"):
-                            for pattern in survivors:
+                            for pattern, table in survivors:
                                 for extension in all_extensions(
                                     pattern,
                                     self._label_pairs,
@@ -552,12 +589,17 @@ class FrequentSubgraphMiner:
                                         continue
                                     seen.add(certificate)
                                     next_level.append((extension, certificate))
+                                    next_lineage.append(
+                                        (table, growth_step(pattern, extension))
+                                        if table is not None and table.complete
+                                        else (None, None)
+                                    )
                         level_span.set(
                             frequent=stats.patterns_frequent - frequent_before,
                             pruned=stats.patterns_pruned - pruned_before,
                             generated=stats.patterns_generated - generated_before,
                         )
-                    level = next_level
+                    level, lineage = next_level, next_lineage
             except BaseException:
                 # Interrupt/failure path: never *wait* for in-flight work —
                 # a Ctrl-C during a long level must not hang on shutdown.
@@ -569,7 +611,7 @@ class FrequentSubgraphMiner:
 
             frequent.sort(key=lambda fp: (fp.num_edges, -fp.support, fp.certificate))
             mine_span.set(levels=levels, frequent=len(frequent))
-        record_session_metrics(stats, levels)
+        record_session_metrics(stats, levels, propagations)
         return MiningResult(
             frequent=frequent,
             stats=stats,

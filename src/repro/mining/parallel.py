@@ -64,7 +64,10 @@ def evaluate_support(
     index_arg,
     histogram: Optional[Dict] = None,
     prune_below: Optional[float] = None,
-) -> Tuple[float, int]:
+    parent=None,
+    step=None,
+    keep_table: bool = False,
+) -> Tuple:
     """Evaluate one candidate; returns ``(support, num_occurrences)``.
 
     ``num_occurrences`` is ``-1`` when occurrences were never enumerated —
@@ -74,12 +77,18 @@ def evaluate_support(
     over-states the true support but preserves every pruning decision).
     Shared by the serial miner and the process-pool workers so both modes
     make byte-identical decisions.
+
+    ``parent`` and ``step`` (see :meth:`HypergraphBundle.build`) extend
+    the parent's occurrence table instead of searching; ``keep_table``
+    returns the candidate's table as a third item (``None`` when
+    occurrences were never enumerated).
     """
+    width = 3 if keep_table else 2
     if lazy:
         from ..measures.lazy_mni import lazy_mni_support
 
         support = float(lazy_mni_support(pattern, data, cap=lazy_cap, index=index_arg))
-        return support, -1
+        return (support, -1, None)[:width]
     if (
         prune_below is not None
         and histogram is not None
@@ -87,15 +96,26 @@ def evaluate_support(
     ):
         bound = label_frequency_bound(pattern, histogram)
         if bound < prune_below:
-            return float(bound), -1
+            return (float(bound), -1, None)[:width]
     from ..hypergraph.construction import HypergraphBundle
     from ..measures.base import compute_support
 
     bundle = HypergraphBundle.build(
-        pattern, data, limit=max_occurrences, index=index_arg
+        pattern, data, limit=max_occurrences, index=index_arg, parent=parent, step=step
     )
     support = compute_support(measure, pattern, data, bundle=bundle)
-    return support, bundle.num_occurrences
+    if not keep_table:
+        return support, bundle.num_occurrences
+    table = bundle.table
+    if table is None:  # enumerated: encode the occurrences
+        from ..index.graph_index import resolve_index
+        from ..isomorphism.table import OccurrenceTable
+
+        index = resolve_index(data, index_arg)
+        table = OccurrenceTable.from_occurrences(
+            index, pattern, bundle.occurrences, max_occurrences
+        )
+    return support, bundle.num_occurrences, table
 
 
 #: Per-worker state installed by :func:`init_worker` (one dict per process).

@@ -268,6 +268,8 @@ DOCUMENTED_METRICS: Tuple[str, ...] = (
     # isomorphism engines (per-process: pool workers count their own)
     "repro_match_vf2_calls",
     "repro_match_anchored_searches",
+    # occurrence tables extended instead of enumerated (flat serial mines)
+    "repro_match_propagations",
     # flat index maintainer
     "repro_index_patches_applied",
     "repro_index_rebuilds",

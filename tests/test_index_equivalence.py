@@ -31,8 +31,10 @@ from repro.isomorphism.matcher import find_occurrences
 from repro.isomorphism.vf2 import find_subgraph_isomorphisms
 from repro.measures.lazy_mni import lazy_mni_support, mni_at_least
 from repro.measures.mni import mni_support_from_occurrences
+from repro.mining import parallel
 from repro.mining.extension import adjacent_label_pairs, single_edge_patterns
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 
 # These suites deliberately exercise the legacy-kwarg entry points
 # alongside spec=; the deprecation they trigger is the point, not noise.
@@ -158,6 +160,108 @@ class TestMinerEquivalence:
             p.graph.signature() for p in indexed_seeds
         ]
         assert adjacent_label_pairs(graph) == adjacent_label_pairs(graph, index=index)
+
+
+def spy_on_tables(monkeypatch):
+    """Check every occurrence table the miner keeps against brute-force VF2.
+
+    Returns a list that gains, per checked candidate, whether its table
+    was extended from a parent (True) or enumerated (False).
+    """
+    evaluate = parallel.evaluate_support
+    origins = []
+
+    def checked(pattern, data, measure, **kwargs):
+        outcome = evaluate(pattern, data, measure, **kwargs)
+        if kwargs.get("keep_table") and outcome[2] is not None:
+            expected = find_occurrences(
+                pattern, data, limit=kwargs["max_occurrences"], index=False
+            )
+            assert outcome[2].decode(pattern) == expected  # content AND order
+            assert outcome[1] == len(expected)
+            origins.append(kwargs.get("parent") is not None)
+        return outcome
+
+    monkeypatch.setattr(parallel, "evaluate_support", checked)
+    return origins
+
+
+def assert_mines_like_brute(graph, spec):
+    indexed = mine_frequent_patterns(graph, spec=spec)
+    brute = mine_frequent_patterns(graph, spec=spec.replace(use_index=False))
+    assert indexed.certificates() == brute.certificates()
+    assert [fp.support for fp in indexed.frequent] == [
+        fp.support for fp in brute.frequent
+    ]
+    assert [fp.num_occurrences for fp in indexed.frequent] == [
+        fp.num_occurrences for fp in brute.frequent
+    ]
+    assert indexed.stats.as_dict() == brute.stats.as_dict()
+
+
+TABLE_SPEC = MiningSpec(
+    measure="mni", min_support=2, max_pattern_nodes=4, max_pattern_edges=4
+)
+
+
+class TestTablePropagation:
+    """The miner's extended occurrence tables == brute-force enumeration."""
+
+    def test_decoded_tables_equal_brute_enumeration(self, graph, monkeypatch):
+        origins = spy_on_tables(monkeypatch)
+        mine_frequent_patterns(graph, spec=TABLE_SPEC)
+        assert any(origins), "no candidate grew from its parent's table"
+
+    def test_truncated_parents_equal_limited_enumeration(self, graph, monkeypatch):
+        spec = TABLE_SPEC.replace(max_occurrences=4)
+        origins = spy_on_tables(monkeypatch)
+        mine_frequent_patterns(graph, spec=spec)
+        assert origins
+        monkeypatch.undo()
+        assert_mines_like_brute(graph, spec)
+
+    @pytest.mark.parametrize("measure", ["mni", "mi", "mis", "lp_mvc"])
+    def test_mined_result_and_stats_equal_brute(self, graph, measure):
+        assert_mines_like_brute(
+            graph,
+            MiningSpec(
+                measure=measure, min_support=2, max_pattern_nodes=3, max_pattern_edges=3
+            ),
+        )
+
+
+@pytest.mark.parametrize(
+    "automorphic",
+    [
+        pytest.param(
+            lambda: random_labeled_graph(12, 0.35, alphabet=("A",), seed=5),
+            id="one-label",
+        ),
+        pytest.param(
+            lambda: random_labeled_graph(14, 0.3, alphabet=("A", "B"), seed=8),
+            id="two-labels",
+        ),
+        pytest.param(
+            lambda: planted_pattern_graph(
+                star_pattern("A", ["A", "A", "A"]),
+                num_copies=5,
+                overlap_fraction=0.6,
+                seed=4,
+            ),
+            id="planted-A-stars",
+        ),
+    ],
+)
+def test_automorphic_patterns_propagate_exactly(automorphic, monkeypatch):
+    # Same-label A-A edges, A-triangles and A-stars: every instance has
+    # several occurrences, so rows must decode in exactly VF2's order.
+    graph = automorphic()
+    origins = spy_on_tables(monkeypatch)
+    mine_frequent_patterns(graph, spec=TABLE_SPEC)
+    assert any(origins)
+    monkeypatch.undo()
+    assert_mines_like_brute(graph, TABLE_SPEC)
+    assert_mines_like_brute(graph, TABLE_SPEC.replace(max_occurrences=5))
 
 
 class TestOverlapEquivalence:

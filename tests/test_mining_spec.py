@@ -208,6 +208,8 @@ class TestCliDefaultsSingleSource:
                 "3",
                 "--max-edges",
                 "4",
+                "--max-occurrences",
+                "9",
                 "--shards",
                 "2",
                 "--partition",
@@ -228,6 +230,7 @@ class TestCliDefaultsSingleSource:
             min_support=1,
             max_pattern_nodes=3,
             max_pattern_edges=4,
+            max_occurrences=9,
             shards=2,
             partition_method="label",
             workers=2,

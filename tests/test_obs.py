@@ -18,6 +18,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.index.delta import IndexMaintainer
 from repro.mining.dynamic import mine_stream
 from repro.mining.miner import mine_frequent_patterns
+from repro.mining.spec import MiningSpec
 from repro.obs import logs as logs_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
@@ -341,6 +342,22 @@ class TestInstrumentedMining:
             snap["repro_match_vf2_calls"] + snap["repro_match_anchored_searches"]
         )
         assert matcher_calls > 0
+
+    @pytest.mark.parametrize(
+        "fields, grows",
+        [({}, True), ({"use_index": False}, False), ({"lazy": True}, False)],
+        ids=["indexed", "brute", "lazy"],
+    )
+    def test_propagations_counted_only_on_the_table_path(
+        self, fresh_registry, fields, grows
+    ):
+        spec = MiningSpec(**MINE_KWARGS, **fields)
+        mine_frequent_patterns(mining_graph(), spec=spec)
+        propagations = fresh_registry.snapshot()["repro_match_propagations"]
+        if grows:
+            assert propagations > 0
+        else:
+            assert propagations == 0
 
     def test_profile_coverage_and_rendering(self, fresh_registry, tracing):
         mine_frequent_patterns(mining_graph(), **MINE_KWARGS)
